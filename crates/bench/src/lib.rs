@@ -7,8 +7,8 @@
 //! `Display` implementation that prints the paper-style table, plus
 //! structured fields the integration tests assert *shape* properties on
 //! (who wins, by roughly what factor). The `experiments` binary dispatches
-//! by experiment id; Criterion micro-benchmarks in `benches/` reuse the
-//! same runners.
+//! by experiment id; the `bench_gate` binary times the same runners
+//! against the committed baseline.
 //!
 //! See `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured numbers.

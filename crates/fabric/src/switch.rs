@@ -11,11 +11,28 @@
 //!   credits return upstream only when a flit departs — this is what makes
 //!   congestion back-propagate across switches (§3 D#3, "credit
 //!   coordination").
-//! * [`QueueDiscipline::Fifo`] keeps one FIFO per input: a head flit whose
-//!   output is credit-starved blocks younger flits to idle outputs —
-//!   head-of-line blocking (§3 D#3, "credit-flow scheduling").
-//! * [`QueueDiscipline::Voq`] keeps virtual output queues, removing HOL
-//!   blocking; outputs arbitrate round-robin across inputs.
+//! * Ingress queues are keyed, `queues[input][key]`, and one arbitration
+//!   loop serves them all; inputs take turns round-robin. The
+//!   [`QueueDiscipline`] only chooses the key:
+//!   - [`QueueDiscipline::Fifo`]: one key per input. A head flit whose
+//!     output is credit-starved blocks younger flits to idle outputs —
+//!     head-of-line blocking (§3 D#3, "credit-flow scheduling").
+//!   - [`QueueDiscipline::Voq`]: the key is the output (virtual output
+//!     queues), removing HOL blocking. Input `i` scans its outputs from
+//!     output `i` on, so inputs do not all favour output 0.
+//!   - [`QueueDiscipline::Wormhole`]: the key is the ingress virtual
+//!     channel, scanned from escape lane 0; a worm stalled on one lane
+//!     never blocks another lane of the same input (see
+//!     [`crate::wormhole`]).
+//! * For each ready head the loop resolves the egress — routed at
+//!   dispatch under FIFO, the key under VOQ, the head's worm under
+//!   Wormhole — then asks, in this order: the allocation policy, the
+//!   tenant scheduler, the egress link credit and, under Wormhole, the
+//!   egress lane. Only a head that passes all four is popped and sent.
+//!   The order is behaviour, not style: a failed scheduler probe counts a
+//!   deferral, so it runs only for flits the allocation policy lets
+//!   through, and the ramp-up allocator creates an output's state on its
+//!   first probe.
 //! * Egress credit allocation follows [`AllocPolicy`]: static-fair, the
 //!   exponential ramp-up scheme the paper critiques, or arbitrated
 //!   reservations installed by the central arbiter.
@@ -37,7 +54,7 @@ use fcc_telemetry::Track;
 use crate::credit::{AllocPolicy, RampUpState};
 use crate::port::{FlitMsg, LinkPort, PortEvent};
 use crate::routing::RoutingTable;
-use crate::wormhole::{VcConfig, VcLink};
+use crate::wormhole::{VcConfig, VcLink, Worms};
 
 /// Identifies a flow (source endpoint, destination endpoint) for the
 /// arbiter's reservations and the switch's rate enforcement.
@@ -191,18 +208,6 @@ struct Entry {
     in_vc: Option<u8>,
 }
 
-/// An in-transit multi-flit transfer (header + data slots) holding — or
-/// about to hold — one egress virtual channel from head to tail.
-#[derive(Debug)]
-struct Worm {
-    /// Egress port fixed at head admission; body flits follow the head.
-    out: usize,
-    /// Lane allocated at head dispatch (`None` until the head moves).
-    lane: Option<u8>,
-    /// Flits of this transfer not yet dispatched (including the header).
-    remaining: u64,
-}
-
 /// A fabric switch component.
 pub struct FabricSwitch {
     cfg: SwitchConfig,
@@ -210,18 +215,18 @@ pub struct FabricSwitch {
     peer_to_port: HashMap<ComponentId, usize>,
     /// Routing table (public so topology builders can pre-install routes).
     pub routing: RoutingTable,
-    /// FIFO discipline: one queue per input.
-    fifo: Vec<VecDeque<Entry>>,
-    /// VOQ discipline: queues[input][output].
-    voq: Vec<Vec<VecDeque<Entry>>>,
-    /// Wormhole discipline: queues[input][ingress lane]. Ports without VC
-    /// flow control (endpoint-facing) keep a single lane-0 queue.
-    vcq: Vec<Vec<VecDeque<Entry>>>,
+    /// Ingress queues, `queues[input][key]`: one key per input under
+    /// FIFO, the output under VOQ, the ingress lane under Wormhole (ports
+    /// without VC flow control keep a single lane-0 queue).
+    queues: Vec<Vec<VecDeque<Entry>>>,
+    /// Flits queued per input (the sum of its row): a sweep passes over
+    /// an idle input without scanning its queues.
+    backlog: Vec<usize>,
     /// Per-egress-port VC credit ledgers (only on links configured via
     /// [`FabricSwitch::set_vc_link`]).
     vc_links: Vec<Option<VcLink>>,
-    /// In-transit transfers, keyed by transaction id.
-    worms: BTreeMap<u64, Worm>,
+    /// In-transit transfers (Wormhole only).
+    worms: Worms,
     rr_input: usize,
     ramp: Vec<Option<RampUpState>>,
     flows: BTreeMap<FlowId, TokenBucket>,
@@ -251,11 +256,10 @@ impl FabricSwitch {
             ports: Vec::new(),
             peer_to_port: HashMap::new(),
             routing: RoutingTable::new(crate::routing::DomainId(0)),
-            fifo: Vec::new(),
-            voq: Vec::new(),
-            vcq: Vec::new(),
+            queues: Vec::new(),
+            backlog: Vec::new(),
             vc_links: Vec::new(),
-            worms: BTreeMap::new(),
+            worms: Worms::default(),
             rr_input: 0,
             ramp: Vec::new(),
             flows: BTreeMap::new(),
@@ -279,20 +283,20 @@ impl FabricSwitch {
     pub fn add_port_with(&mut self, phys: PhysConfig, credit: CreditConfig) -> usize {
         let idx = self.ports.len();
         self.ports.push(LinkPort::new(phys, credit));
-        self.fifo.push(VecDeque::new());
-        for q in &mut self.voq {
-            q.push(VecDeque::new());
-        }
-        self.voq
-            .push((0..self.ports.len()).map(|_| VecDeque::new()).collect());
-        // Existing voq rows gained a column above; new row sized to ports.
-        for q in &mut self.voq {
-            while q.len() < self.ports.len() {
-                q.push(VecDeque::new());
+        // VOQ rows stay square (every row gains the new output's column);
+        // the new row of the other disciplines starts with one queue.
+        let keys = match self.cfg.queueing {
+            QueueDiscipline::Voq => self.ports.len(),
+            QueueDiscipline::Fifo | QueueDiscipline::Wormhole => 1,
+        };
+        self.queues.push(Vec::new());
+        self.backlog.push(0);
+        for row in &mut self.queues {
+            if row.len() < keys {
+                row.resize_with(keys, VecDeque::new);
             }
         }
         self.ramp.push(None);
-        self.vcq.push(vec![VecDeque::new()]);
         self.vc_links.push(None);
         idx
     }
@@ -308,9 +312,12 @@ impl FabricSwitch {
     /// escape-VC deadlock argument needs lane isolation).
     pub fn set_vc_link(&mut self, port: usize, cfg: VcConfig) {
         self.vc_links[port] = Some(VcLink::new(cfg));
-        let lanes = usize::from(cfg.vcs.max(2));
-        while self.vcq[port].len() < lanes {
-            self.vcq[port].push(VecDeque::new());
+        if self.cfg.queueing == QueueDiscipline::Wormhole {
+            let lanes = usize::from(cfg.vcs.max(2));
+            let row = &mut self.queues[port];
+            if row.len() < lanes {
+                row.resize_with(lanes, VecDeque::new);
+            }
         }
     }
 
@@ -358,24 +365,25 @@ impl FabricSwitch {
         if port >= self.ports.len() {
             return Err(format!("port {port} out of range"));
         }
-        if !self.fifo[port].is_empty() {
-            return Err(format!(
-                "port {port}: {} flit(s) queued",
-                self.fifo[port].len()
-            ));
+        let inbound = self.backlog[port];
+        let busy = match self.cfg.queueing {
+            QueueDiscipline::Fifo => {
+                (inbound > 0).then(|| format!("port {port}: {inbound} flit(s) queued"))
+            }
+            QueueDiscipline::Voq => {
+                let outbound: usize = self.queues.iter().map(|row| row[port].len()).sum();
+                (inbound + outbound > 0).then(|| {
+                    format!("port {port}: {inbound} flit(s) from it, {outbound} toward it")
+                })
+            }
+            QueueDiscipline::Wormhole => {
+                (inbound > 0).then(|| format!("port {port}: {inbound} flit(s) in ingress lanes"))
+            }
+        };
+        if let Some(busy) = busy {
+            return Err(busy);
         }
-        let inbound: usize = self.voq[port].iter().map(|q| q.len()).sum();
-        let outbound: usize = self.voq.iter().map(|row| row[port].len()).sum();
-        if inbound + outbound > 0 {
-            return Err(format!(
-                "port {port}: {inbound} flit(s) from it, {outbound} toward it"
-            ));
-        }
-        let lanes: usize = self.vcq[port].iter().map(|q| q.len()).sum();
-        if lanes > 0 {
-            return Err(format!("port {port}: {lanes} flit(s) in ingress lanes"));
-        }
-        let toward: usize = self.worms.values().filter(|w| w.out == port).count();
+        let toward = self.worms.toward(port).count();
         if toward > 0 {
             return Err(format!(
                 "port {port}: {toward} worm(s) in transit toward it"
@@ -441,18 +449,7 @@ impl FabricSwitch {
 
     /// Total flits waiting in ingress queues.
     pub fn queued(&self) -> usize {
-        let fifo: usize = self.fifo.iter().map(|q| q.len()).sum();
-        let voq: usize = self
-            .voq
-            .iter()
-            .flat_map(|row| row.iter().map(|q| q.len()))
-            .sum();
-        let vcq: usize = self
-            .vcq
-            .iter()
-            .flat_map(|row| row.iter().map(|q| q.len()))
-            .sum();
-        fifo + voq + vcq
+        self.backlog.iter().sum()
     }
 
     /// Current ramp-up allocations for an output (empty if unused).
@@ -491,7 +488,7 @@ impl FabricSwitch {
                 }
             }
         }
-        if !self.worms.is_empty() {
+        if self.worms.len() > 0 {
             report.push(
                 "worms",
                 format!("{} transfer(s) still holding lanes", self.worms.len()),
@@ -544,30 +541,17 @@ impl FabricSwitch {
             return Some(candidates[0]);
         }
         candidates.iter().copied().min_by_key(|&p| {
-            let queued: usize = self.voq.iter().map(|row| row[p].len()).sum();
+            let queued: usize = match self.cfg.queueing {
+                QueueDiscipline::Voq => self.queues.iter().map(|row| row[p].len()).sum(),
+                QueueDiscipline::Fifo | QueueDiscipline::Wormhole => 0,
+            };
             // Under wormhole queueing the committed load on an egress is
             // the undelivered remainder of every worm routed toward it.
-            let committed: u64 = self
-                .worms
-                .values()
-                .filter(|w| w.out == p)
-                .map(|w| w.remaining)
-                .sum();
+            let committed: u64 = self.worms.toward(p).sum();
             let pending = self.ports[p].pending_len();
             let backlog = self.ports[p].wire_free_at().saturating_sub(now);
             (queued + committed as usize + pending, backlog, p)
         })
-    }
-
-    /// Flits this transaction's transfer occupies at a switch: the header
-    /// plus its data slots (mirrors the adapters' slot computation).
-    fn expected_flits(&self, in_port: usize, t: &fcc_proto::channel::Transaction) -> u64 {
-        if t.kind.carries_data() && t.bytes > 0 {
-            let mode = self.ports[in_port].phys.flit_mode;
-            1 + fcc_proto::flit::flits_for_transfer(mode, t.bytes as u64)
-        } else {
-            1
-        }
     }
 
     /// Returns the ingress lane credit for a departing (or dropped) flit.
@@ -575,6 +559,19 @@ impl FabricSwitch {
         if let Some(v) = in_vc {
             self.ports[in_port].return_vc_credit(ctx, v, 1);
         }
+    }
+
+    /// Drops a flit that has no usable route, returning its ingress credits.
+    fn drop_unroutable(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        in_port: usize,
+        class: MsgClass,
+        in_vc: Option<u8>,
+    ) {
+        self.unroutable.inc();
+        self.ports[in_port].release(ctx, class);
+        self.return_in_vc(ctx, in_port, in_vc);
     }
 
     fn admit(
@@ -596,74 +593,42 @@ impl FabricSwitch {
         // Output resolution is deferred to dispatch for adaptive routing,
         // but unroutable flits are dropped immediately.
         if self.routing.route(dst).is_none() {
-            self.unroutable.inc();
-            self.ports[in_port].release(ctx, class);
-            self.return_in_vc(ctx, in_port, in_vc);
+            self.drop_unroutable(ctx, in_port, class, in_vc);
             return;
         }
-        let entry = Entry {
+        let key = match self.cfg.queueing {
+            QueueDiscipline::Fifo => Some(0),
+            // route() was checked above, but a racing route removal
+            // would leave no candidate: drop rather than panic.
+            QueueDiscipline::Voq => self.pick_output(dst, ctx.now()),
+            QueueDiscipline::Wormhole => {
+                // A worm's body flits must follow the head's egress; route
+                // only at the header.
+                let out = self
+                    .worms
+                    .follow(&payload)
+                    .or_else(|| self.pick_output(dst, ctx.now()));
+                out.map(|out| {
+                    let mode = self.ports[in_port].phys.flit_mode;
+                    self.worms.admit(&payload, out, mode);
+                    let lanes = self.queues[in_port].len();
+                    usize::from(in_vc.unwrap_or(0)).min(lanes.saturating_sub(1))
+                })
+            }
+        };
+        let Some(key) = key else {
+            self.drop_unroutable(ctx, in_port, class, in_vc);
+            return;
+        };
+        self.queues[in_port][key].push_back(Entry {
             payload,
             class,
             ready_at,
             flow,
             enqueued_at: ctx.now(),
             in_vc,
-        };
-        match self.cfg.queueing {
-            QueueDiscipline::Fifo => self.fifo[in_port].push_back(entry),
-            QueueDiscipline::Voq => {
-                // route() was checked above, but a racing route removal
-                // would leave no candidate: drop rather than panic.
-                let Some(out) = self.pick_output(dst, ctx.now()) else {
-                    self.unroutable.inc();
-                    self.ports[in_port].release(ctx, class);
-                    self.return_in_vc(ctx, in_port, in_vc);
-                    return;
-                };
-                self.voq[in_port][out].push_back(entry);
-            }
-            QueueDiscipline::Wormhole => {
-                // A worm's body flits must follow the head's egress; route
-                // only at the header.
-                let forced = match &entry.payload {
-                    FlitPayload::Data { txn_id, .. } => self.worms.get(txn_id).map(|w| w.out),
-                    _ => None,
-                };
-                let Some(out) = forced.or_else(|| self.pick_output(dst, ctx.now())) else {
-                    self.unroutable.inc();
-                    self.ports[in_port].release(ctx, class);
-                    self.return_in_vc(ctx, in_port, in_vc);
-                    return;
-                };
-                match &entry.payload {
-                    FlitPayload::Transaction(t) => {
-                        let remaining = self.expected_flits(in_port, t);
-                        self.worms.insert(
-                            t.id,
-                            Worm {
-                                out,
-                                lane: None,
-                                remaining,
-                            },
-                        );
-                    }
-                    FlitPayload::Data { txn_id, .. } => {
-                        // Normal case: the header's worm exists. An orphan
-                        // data slot (header raced a route change) becomes
-                        // its own single-flit worm.
-                        self.worms.entry(*txn_id).or_insert(Worm {
-                            out,
-                            lane: None,
-                            remaining: 1,
-                        });
-                    }
-                    _ => {}
-                }
-                let lane = usize::from(entry.in_vc.unwrap_or(0));
-                let lane = lane.min(self.vcq[in_port].len().saturating_sub(1));
-                self.vcq[in_port][lane].push_back(entry);
-            }
-        }
+        });
+        self.backlog[in_port] += 1;
         self.arm_tick(ctx);
         self.arm_sched_tick(ctx);
         self.request_kick(ctx, ready_at);
@@ -814,7 +779,10 @@ impl FabricSwitch {
         }
     }
 
-    /// Attempts to dispatch one flit from input `i`; returns whether one moved.
+    /// Attempts to dispatch one flit from input `i`; returns whether one
+    /// moved. Scans the input's keyed queues (see the module docs for the
+    /// key scheme and the gate order) and sends the first head that
+    /// clears every gate.
     fn try_dispatch_input(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -823,92 +791,50 @@ impl FabricSwitch {
         reserved_phase: bool,
         next_kick: &mut Option<SimTime>,
     ) -> bool {
-        match self.cfg.queueing {
-            QueueDiscipline::Fifo => self.try_dispatch_fifo(ctx, i, now, reserved_phase, next_kick),
-            QueueDiscipline::Voq => self.try_dispatch_voq(ctx, i, now, reserved_phase, next_kick),
-            QueueDiscipline::Wormhole => {
-                self.try_dispatch_wormhole(ctx, i, now, reserved_phase, next_kick)
-            }
-        }
-    }
-
-    fn try_dispatch_fifo(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        i: usize,
-        now: SimTime,
-        reserved_phase: bool,
-        next_kick: &mut Option<SimTime>,
-    ) -> bool {
-        let Some(head) = self.fifo[i].front() else {
+        if self.backlog[i] == 0 {
             return false;
+        }
+        let keys = self.queues[i].len();
+        let first = match self.cfg.queueing {
+            QueueDiscipline::Voq => i,
+            QueueDiscipline::Fifo | QueueDiscipline::Wormhole => 0,
         };
-        let (ready_at, flow, class) = (head.ready_at, head.flow, head.class);
-        let Some(dst) = Self::dst_of(&head.payload) else {
-            // admit() only queues routable payloads; drop defensively.
-            self.unroutable.inc();
-            if self.fifo[i].pop_front().is_some() {
-                self.ports[i].release(ctx, class);
-            }
-            return true;
-        };
-        if ready_at > now {
-            self.note_kick(next_kick, ready_at);
-            return false;
-        }
-        let Some(out) = self.pick_output(dst, now) else {
-            return false;
-        };
-        match self.policy_gate(i, out, flow, now, reserved_phase) {
-            Ok(()) => {}
-            Err(Some(at)) => {
-                self.note_kick(next_kick, at);
-                return false;
-            }
-            // HOL blocking: the whole input queue waits behind its head.
-            Err(None) => return false,
-        }
-        // Tenant out of partition credits: wait for the SchedTick refill.
-        if !self.sched_admits(flow) {
-            return false;
-        }
-        if !self.ports[out].link.can_send(class) {
-            return false;
-        }
-        let Some(entry) = self.fifo[i].pop_front() else {
-            return false;
-        };
-        self.finish_dispatch(ctx, i, out, entry, now, None);
-        true
-    }
-
-    fn try_dispatch_voq(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        i: usize,
-        now: SimTime,
-        reserved_phase: bool,
-        next_kick: &mut Option<SimTime>,
-    ) -> bool {
-        let n = self.ports.len();
-        for o in 0..n {
-            let out = (i + o) % n;
-            let Some((ready_at, flow, class)) = self.voq[i][out]
-                .front()
-                .map(|h| (h.ready_at, h.flow, h.class))
-            else {
+        for k in 0..keys {
+            // `(first + k) % keys` without a division: sweeps probe every
+            // input many times per event, so each probe must stay cheap.
+            let key = first + k;
+            let key = if key < keys { key } else { key - keys };
+            let Some(head) = self.queues[i][key].front() else {
                 continue;
             };
+            let (ready_at, flow, class) = (head.ready_at, head.flow, head.class);
+            let (id, dst) = (head.payload.trace_id(), Self::dst_of(&head.payload));
             if ready_at > now {
                 self.note_kick(next_kick, ready_at);
                 continue;
             }
+            let Some(out) = self.head_egress(key, id, dst, now) else {
+                if self.cfg.queueing == QueueDiscipline::Wormhole {
+                    // Every wormhole-admitted flit has a worm (created at
+                    // admit); a missing one means its transfer raced a
+                    // teardown — drop.
+                    if let Some(entry) = self.pop_head(i, key) {
+                        self.drop_unroutable(ctx, i, entry.class, entry.in_vc);
+                    }
+                    return true;
+                }
+                // FIFO: the head's destination lost its routes; the
+                // queue waits behind it.
+                continue;
+            };
             match self.policy_gate(i, out, flow, now, reserved_phase) {
                 Ok(()) => {}
                 Err(Some(at)) => {
                     self.note_kick(next_kick, at);
                     continue;
                 }
+                // Under FIFO this is HOL blocking: the whole input queue
+                // waits behind its head.
                 Err(None) => continue,
             }
             // Tenant out of partition credits: wait for the SchedTick refill.
@@ -918,117 +844,49 @@ impl FabricSwitch {
             if !self.ports[out].link.can_send(class) {
                 continue;
             }
-            let Some(entry) = self.voq[i][out].pop_front() else {
+            let Some(out_vc) = self.egress_lane(id, dst, out) else {
                 continue;
             };
-            self.finish_dispatch(ctx, i, out, entry, now, None);
-            return true;
-        }
-        false
-    }
-
-    /// Attempts to dispatch one flit from input `i`'s ingress lanes
-    /// (wormhole discipline). Lanes are independent: a worm stalled on
-    /// lane 2's egress credits never blocks lane 0's escape traffic on
-    /// the same input — the isolation the deadlock argument rests on.
-    fn try_dispatch_wormhole(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        i: usize,
-        now: SimTime,
-        reserved_phase: bool,
-        next_kick: &mut Option<SimTime>,
-    ) -> bool {
-        for l in 0..self.vcq[i].len() {
-            let Some((ready_at, flow, class, id, dst)) = self.vcq[i][l].front().map(|h| {
-                (
-                    h.ready_at,
-                    h.flow,
-                    h.class,
-                    h.payload.trace_id(),
-                    Self::dst_of(&h.payload),
-                )
-            }) else {
+            let Some(entry) = self.pop_head(i, key) else {
                 continue;
             };
-            if ready_at > now {
-                self.note_kick(next_kick, ready_at);
-                continue;
-            }
-            // Every wormhole-admitted flit has a worm (created at admit);
-            // a missing one means its transfer raced a teardown — drop.
-            let Some(out) = self.worms.get(&id).map(|w| w.out) else {
-                if let Some(entry) = self.vcq[i][l].pop_front() {
-                    self.unroutable.inc();
-                    self.ports[i].release(ctx, entry.class);
-                    self.return_in_vc(ctx, i, entry.in_vc);
-                }
-                return true;
-            };
-            match self.policy_gate(i, out, flow, now, reserved_phase) {
-                Ok(()) => {}
-                Err(Some(at)) => {
-                    self.note_kick(next_kick, at);
-                    continue;
-                }
-                Err(None) => continue,
-            }
-            // Tenant out of partition credits: wait for the SchedTick refill.
-            if !self.sched_admits(flow) {
-                continue;
-            }
-            if !self.ports[out].link.can_send(class) {
-                continue;
-            }
-            // Per-VC egress gate. Escape lane 0 is eligible only when the
-            // egress is the destination's primary (deterministic) route.
-            let escape_ok = dst
-                .and_then(|d| self.routing.route(d))
-                .is_some_and(|c| c.first() == Some(&out));
-            let held = self.worms.get(&id).and_then(|w| w.lane);
-            let out_vc = match self.vc_links[out].as_mut() {
-                Some(vl) => match held {
-                    Some(v) => {
-                        if !vl.can_send(v) {
-                            continue;
-                        }
-                        Some(v)
-                    }
-                    None => match vl.allocate(id, escape_ok) {
-                        Some(v) => Some(v),
-                        None => continue,
-                    },
-                },
-                None => None,
-            };
-            let Some(entry) = self.vcq[i][l].pop_front() else {
-                continue;
-            };
-            if let Some(v) = out_vc {
-                if let Some(vl) = self.vc_links[out].as_mut() {
-                    vl.consume(v, id);
-                }
-            }
-            let done = match self.worms.get_mut(&id) {
-                Some(w) => {
-                    w.lane = out_vc;
-                    w.remaining = w.remaining.saturating_sub(1);
-                    w.remaining == 0
-                }
-                None => true,
-            };
-            if done {
-                self.worms.remove(&id);
-                if let Some(v) = out_vc {
-                    if let Some(vl) = self.vc_links[out].as_mut() {
-                        vl.release(v);
-                    }
-                }
-            }
+            self.worms.advance(id, self.vc_links[out].as_mut(), out_vc);
             self.finish_dispatch(ctx, i, out, entry, now, out_vc);
             return true;
         }
         false
+    }
+
+    /// Pops the head of input `i`'s queue `key`, keeping `backlog` in step.
+    fn pop_head(&mut self, i: usize, key: usize) -> Option<Entry> {
+        let entry = self.queues[i][key].pop_front()?;
+        self.backlog[i] -= 1;
+        Some(entry)
+    }
+
+    /// The egress of the head of queue `key` (transaction `id`, bound for
+    /// `dst`): routed now under FIFO, the key under VOQ, the worm's under
+    /// Wormhole.
+    fn head_egress(&self, key: usize, id: u64, dst: Option<NodeId>, now: SimTime) -> Option<usize> {
+        match self.cfg.queueing {
+            QueueDiscipline::Fifo => dst.and_then(|d| self.pick_output(d, now)),
+            QueueDiscipline::Voq => Some(key),
+            QueueDiscipline::Wormhole => self.worms.egress(id),
+        }
+    }
+
+    /// The egress lane gate: `Some(lane)` when the head may go (`Some(None)`
+    /// outside VC flow control), `None` when it must wait for a lane.
+    fn egress_lane(&self, id: u64, dst: Option<NodeId>, out: usize) -> Option<Option<u8>> {
+        if self.cfg.queueing != QueueDiscipline::Wormhole {
+            return Some(None);
+        }
+        // Escape lane 0 is eligible only when the egress is the
+        // destination's primary (deterministic) route.
+        let escape_ok = dst
+            .and_then(|d| self.routing.route(d))
+            .is_some_and(|c| c.first() == Some(&out));
+        self.worms.lane(id, self.vc_links[out].as_ref(), escape_ok)
     }
 
     fn finish_dispatch(
@@ -1232,41 +1090,23 @@ impl Component for FabricSwitch {
     }
 
     fn outstanding(&self, out: &mut Vec<PendingWork>) {
-        for (i, q) in self.fifo.iter().enumerate() {
-            if let Some(head) = q.front() {
-                // The whole FIFO waits behind its head's egress.
-                let waiting_on = Self::dst_of(&head.payload)
-                    .and_then(|d| self.pick_output(d, SimTime::ZERO))
+        for (i, row) in self.queues.iter().enumerate() {
+            for (key, q) in row.iter().enumerate() {
+                let Some(head) = q.front() else {
+                    continue;
+                };
+                let n = q.len();
+                let what = match self.cfg.queueing {
+                    QueueDiscipline::Fifo => format!("{n} flit(s) queued at input {i}"),
+                    QueueDiscipline::Voq => format!("{n} flit(s) queued input {i} -> output {key}"),
+                    QueueDiscipline::Wormhole => format!("{n} flit(s) queued input {i} lane {key}"),
+                };
+                // The queue waits on its head's egress.
+                let (id, dst) = (head.payload.trace_id(), Self::dst_of(&head.payload));
+                let waiting_on = self
+                    .head_egress(key, id, dst, SimTime::ZERO)
                     .and_then(|o| self.ports[o].peer_opt());
-                out.push(PendingWork {
-                    what: format!("{} flit(s) queued at input {i}", q.len()),
-                    waiting_on,
-                });
-            }
-        }
-        for (i, row) in self.voq.iter().enumerate() {
-            for (o, q) in row.iter().enumerate() {
-                if !q.is_empty() {
-                    out.push(PendingWork {
-                        what: format!("{} flit(s) queued input {i} -> output {o}", q.len()),
-                        waiting_on: self.ports[o].peer_opt(),
-                    });
-                }
-            }
-        }
-        for (i, row) in self.vcq.iter().enumerate() {
-            for (l, q) in row.iter().enumerate() {
-                if let Some(head) = q.front() {
-                    // The head's worm names the egress this lane waits on.
-                    let waiting_on = self
-                        .worms
-                        .get(&head.payload.trace_id())
-                        .and_then(|w| self.ports[w.out].peer_opt());
-                    out.push(PendingWork {
-                        what: format!("{} flit(s) queued input {i} lane {l}", q.len()),
-                        waiting_on,
-                    });
-                }
+                out.push(PendingWork { what, waiting_on });
             }
         }
         for (p, port) in self.ports.iter().enumerate() {
@@ -1294,11 +1134,140 @@ mod tests {
             sw.add_port();
         }
         assert_eq!(sw.port_count(), 5);
-        assert_eq!(sw.voq.len(), 5);
-        for row in &sw.voq {
+        assert_eq!(sw.queues.len(), 5);
+        for row in &sw.queues {
             assert_eq!(row.len(), 5);
         }
         assert_eq!(sw.queued(), 0);
+
+        // The other disciplines key one queue per input; a VC link widens
+        // its wormhole row to one queue per lane.
+        for q in [QueueDiscipline::Fifo, QueueDiscipline::Wormhole] {
+            let mut sw = FabricSwitch::new(SwitchConfig {
+                queueing: q,
+                ..SwitchConfig::fabrex_like()
+            });
+            for _ in 0..5 {
+                sw.add_port();
+            }
+            sw.set_vc_link(3, VcConfig::default());
+            let keys: Vec<usize> = sw.queues.iter().map(Vec::len).collect();
+            let lanes = if q == QueueDiscipline::Wormhole { 4 } else { 1 };
+            assert_eq!(keys, [1, 1, 1, lanes, 1], "{q:?}");
+        }
+    }
+
+    /// Swallows host completions.
+    struct Sink;
+
+    impl Component for Sink {
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {}
+    }
+
+    #[test]
+    fn starved_egress_backlog_reads_the_same_under_every_discipline() {
+        use crate::adapter::{Fea, HostOp, HostRequest};
+        use crate::endpoint::FixedLatencyMemory;
+        use crate::topology::{self, TopologySpec, FAM_BASE};
+        use fcc_sim::Engine;
+
+        // Per discipline: the `outstanding()` text of inputs 0 and 1, and
+        // the refusals of detaching the busy host port 0 and the starved
+        // device port 2. FIFO resolves egress at dispatch, so it keeps no
+        // per-output backlog to refuse port 2 with and is not probed there.
+        let cases = [
+            (
+                QueueDiscipline::Fifo,
+                ["3 flit(s) queued at input 0", "2 flit(s) queued at input 1"],
+                vec![(0, "port 0: 3 flit(s) queued")],
+            ),
+            (
+                QueueDiscipline::Voq,
+                [
+                    "3 flit(s) queued input 0 -> output 2",
+                    "2 flit(s) queued input 1 -> output 2",
+                ],
+                vec![
+                    (0, "port 0: 3 flit(s) from it, 0 toward it"),
+                    (2, "port 2: 0 flit(s) from it, 5 toward it"),
+                ],
+            ),
+            (
+                QueueDiscipline::Wormhole,
+                [
+                    "3 flit(s) queued input 0 lane 0",
+                    "2 flit(s) queued input 1 lane 0",
+                ],
+                vec![
+                    (0, "port 0: 3 flit(s) in ingress lanes"),
+                    (2, "port 2: 3 worm(s) in transit toward it"),
+                ],
+            ),
+        ];
+        for (q, what, refusals) in cases {
+            let mut engine = Engine::new(0x5A);
+            let mut spec = TopologySpec::default();
+            spec.switch.queueing = q;
+            // Two credits per class on every link.
+            let tight = CreditConfig {
+                buffer_flits: 8,
+                return_threshold: 1,
+                ..CreditConfig::default()
+            };
+            spec.switch.credit = tight;
+            spec.credit = tight;
+            let dev = Box::new(FixedLatencyMemory::new(
+                SimTime::from_ns(2000.0),
+                SimTime::from_ns(2000.0),
+                1 << 26,
+            ));
+            // Hosts take ports 0 and 1, the device port 2.
+            let topo = topology::single_switch(&mut engine, spec, 2, vec![dev]);
+            let fea = topo.devices[0].fea;
+            // One admission slot: parked requests keep holding their
+            // ingress credit, so the switch's egress toward the device
+            // starves.
+            engine.component_mut::<Fea>(fea).set_queue_depth(1);
+            let sink = engine.add_component("sink", Sink);
+            for i in 0..12u64 {
+                let addr = FAM_BASE + i * 256;
+                let op = if i % 2 == 0 {
+                    HostOp::Write { addr, bytes: 256 }
+                } else {
+                    HostOp::Read { addr, bytes: 64 }
+                };
+                engine.post(
+                    topo.hosts[(i % 2) as usize].fha,
+                    SimTime::ZERO,
+                    HostRequest {
+                        op,
+                        tag: i,
+                        reply_to: sink,
+                    },
+                );
+            }
+            let sw_id = topo.switches[0];
+            engine.run_until(SimTime::from_ns(1500.0));
+            let sw = engine.component_mut::<FabricSwitch>(sw_id);
+            assert_eq!(sw.queued(), 5, "{q:?}");
+            let mut work = Vec::new();
+            sw.outstanding(&mut work);
+            let got: Vec<(&str, Option<ComponentId>)> = work
+                .iter()
+                .map(|w| (w.what.as_str(), w.waiting_on))
+                .collect();
+            assert_eq!(got, what.map(|w| (w, Some(fea))), "{q:?}");
+            for (port, msg) in refusals {
+                assert_eq!(sw.detach_port(port), Err(msg.to_string()), "{q:?}");
+            }
+            engine.run_until_idle();
+            let sw = engine.component::<FabricSwitch>(sw_id);
+            assert_eq!(sw.queued(), 0, "{q:?}");
+            let mut work = Vec::new();
+            sw.outstanding(&mut work);
+            assert!(work.is_empty(), "{q:?}");
+            assert!(sw.audit().is_clean(), "{q:?}: {:?}", sw.audit());
+        }
     }
 
     #[test]

@@ -18,8 +18,17 @@
 //! route candidate; when they saturate, every switch can still drain
 //! traffic through the acyclic escape network, so no cycle of waits is
 //! sustainable. See DESIGN.md for the full invariant list.
+//!
+//! [`VcLink`] is the egress side of one link; the switch keeps the worms
+//! themselves in a `Worms` table, which answers the two wormhole
+//! questions of its arbitration loop: which egress a head flit takes and
+//! which lane it may use.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
+
+use fcc_proto::flit::{flits_for_transfer, FlitMode, FlitPayload};
 
 /// Per-link virtual-channel configuration. Both ends of a link must use
 /// the same values (the upstream ledger mirrors the downstream buffer).
@@ -123,7 +132,7 @@ impl VcLink {
     /// that is free (or already held by `worm`) with a credit available.
     /// Lane 0 is only eligible when `escape_ok` (the egress is the
     /// destination's primary deterministic route).
-    pub fn allocate(&mut self, worm: u64, escape_ok: bool) -> Option<u8> {
+    pub fn allocate(&self, worm: u64, escape_ok: bool) -> Option<u8> {
         let first = usize::from(!escape_ok);
         (first..self.lanes.len())
             .find(|&v| {
@@ -201,13 +210,126 @@ impl VcLink {
     }
 }
 
+/// An in-transit multi-flit transfer (header + data slots) holding — or
+/// about to hold — one egress virtual channel from head to tail.
+#[derive(Debug)]
+struct Worm {
+    /// Egress port fixed at head admission; body flits follow the head.
+    out: usize,
+    /// Lane allocated at head dispatch (`None` until the head moves).
+    lane: Option<u8>,
+    /// Flits of this transfer not yet dispatched (including the header).
+    remaining: u64,
+}
+
+/// The worms in transit through one switch, keyed by transaction id.
+#[derive(Debug, Default)]
+pub(crate) struct Worms(BTreeMap<u64, Worm>);
+
+impl Worms {
+    /// The egress a body flit must follow: its worm's, fixed at the head.
+    /// `None` for a header (routed afresh) or an orphan data slot.
+    pub(crate) fn follow(&self, payload: &FlitPayload) -> Option<usize> {
+        match payload {
+            FlitPayload::Data { txn_id, .. } => self.egress(*txn_id),
+            _ => None,
+        }
+    }
+
+    /// Records an admitted flit routed to `out`: a header opens its worm
+    /// sized to the whole transfer; a data slot joins its header's worm,
+    /// or — when the header raced a route change — becomes its own
+    /// single-flit worm.
+    pub(crate) fn admit(&mut self, payload: &FlitPayload, out: usize, mode: FlitMode) {
+        let worm = |remaining| Worm {
+            out,
+            lane: None,
+            remaining,
+        };
+        match payload {
+            FlitPayload::Transaction(t) => {
+                let flits = if t.kind.carries_data() && t.bytes > 0 {
+                    1 + flits_for_transfer(mode, t.bytes as u64)
+                } else {
+                    1
+                };
+                self.0.insert(t.id, worm(flits));
+            }
+            FlitPayload::Data { txn_id, .. } => {
+                self.0.entry(*txn_id).or_insert(worm(1));
+            }
+            _ => {}
+        }
+    }
+
+    /// Egress port of worm `id`.
+    pub(crate) fn egress(&self, id: u64) -> Option<usize> {
+        self.0.get(&id).map(|w| w.out)
+    }
+
+    /// Undelivered flits of each worm routed toward `out`.
+    pub(crate) fn toward(&self, out: usize) -> impl Iterator<Item = u64> + '_ {
+        self.0
+            .values()
+            .filter(move |w| w.out == out)
+            .map(|w| w.remaining)
+    }
+
+    /// Worms in transit.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The lane gate for the next flit of worm `id` on an egress with
+    /// ledger `link`: `Some(lane)` when it may go (`Some(None)` on a link
+    /// without VC flow control), `None` when it must wait. A worm keeps
+    /// the lane its head took; a head takes the lowest free lane, lane 0
+    /// only when `escape_ok`.
+    pub(crate) fn lane(
+        &self,
+        id: u64,
+        link: Option<&VcLink>,
+        escape_ok: bool,
+    ) -> Option<Option<u8>> {
+        let Some(link) = link else {
+            return Some(None);
+        };
+        match self.0.get(&id).and_then(|w| w.lane) {
+            Some(v) => link.can_send(v).then_some(Some(v)),
+            None => link.allocate(id, escape_ok).map(Some),
+        }
+    }
+
+    /// Books a dispatched flit of worm `id` on `lane` (as granted by
+    /// [`Worms::lane`]): consumes its lane credit and, behind the tail,
+    /// retires the worm and releases the lane. A flit with no worm (not
+    /// under wormhole queueing) books nothing.
+    pub(crate) fn advance(&mut self, id: u64, link: Option<&mut VcLink>, lane: Option<u8>) {
+        let Some(w) = self.0.get_mut(&id) else {
+            return;
+        };
+        w.lane = lane;
+        w.remaining = w.remaining.saturating_sub(1);
+        let tail = w.remaining == 0;
+        if tail {
+            self.0.remove(&id);
+        }
+        if let (Some(v), Some(link)) = (lane, link) {
+            link.consume(v, id);
+            if tail {
+                link.release(v);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lane_zero_is_reserved_for_escape_traffic() {
-        let mut link = VcLink::new(VcConfig::default());
+        let link = VcLink::new(VcConfig::default());
         assert_eq!(link.allocate(7, true), Some(0));
         assert_eq!(link.allocate(7, false), Some(1));
     }
