@@ -511,7 +511,7 @@ impl ElasticCluster {
             }
             // The port is provably empty: prune the route and reclaim the
             // node's flow reservations.
-            sw.routing.remove_pbr(node);
+            sw.remove_route(node);
             sw.reclaim_flows(node);
         }
         let mut st = self.state.lock_state();
@@ -539,7 +539,7 @@ impl ElasticCluster {
         };
         {
             let sw = engine.component_mut::<FabricSwitch>(self.switch);
-            sw.routing.remove_pbr(node);
+            sw.remove_route(node);
             sw.reclaim_flows(node);
         }
         let mut st = self.state.lock_state();

@@ -33,6 +33,27 @@
 //!   deferral, so it runs only for flits the allocation policy lets
 //!   through, and the ramp-up allocator creates an output's state on its
 //!   first probe.
+//! * Park and wake. Each egress keeps a generation number. A head that
+//!   fails the credit or lane gate parks, recording its egress and that
+//!   egress's generation. Until the generation moves, later sweeps run
+//!   only the gates in front of the park (ready, policy, tenant), so
+//!   every deferral is still counted, and skip the egress resolution,
+//!   credit and lane gates, which would fail again. The events that can
+//!   loosen a credit or lane gate are the ones that move a generation:
+//!   `CreditFreed` and `VcCreditReturned` on the egress port, a worm's
+//!   tail leaving it (the tail frees its lane), and a header replacing a
+//!   worm bound there. Route edits ([`InstallPbrRoute`],
+//!   [`RemovePbrRoute`], [`FabricSwitch::remove_route`], HBR and domain
+//!   messages), rate changes, scheduler installs, ramp and tenant window
+//!   ticks, [`FabricSwitch::port_mut`], and port add, detach and
+//!   [`FabricSwitch::set_vc_link`] move every generation. Adaptive FIFO
+//!   heads never park: their egress is re-picked against the wire
+//!   backlog at each sweep. A pass skips an input until the earliest
+//!   ready time of its heads when all of them are either not ready or
+//!   parked behind gates without side effects (no tenant scheduler and
+//!   no arbitrated allocation); it still notes the Kick that time needs.
+//!   A flit arriving at the input, or a generation moving on one of its
+//!   parks, wakes it.
 //! * Egress credit allocation follows [`AllocPolicy`]: static-fair, the
 //!   exponential ramp-up scheme the paper critiques, or arbitrated
 //!   reservations installed by the central arbiter.
@@ -54,7 +75,7 @@ use fcc_telemetry::Track;
 use crate::credit::{AllocPolicy, RampUpState};
 use crate::port::{FlitMsg, LinkPort, PortEvent};
 use crate::routing::RoutingTable;
-use crate::wormhole::{VcConfig, VcLink, Worms};
+use crate::wormhole::{VcConfig, VcLink, WormLane, Worms};
 
 /// Identifies a flow (source endpoint, destination endpoint) for the
 /// arbiter's reservations and the switch's rate enforcement.
@@ -208,20 +229,50 @@ struct Entry {
     in_vc: Option<u8>,
 }
 
+/// One ingress queue and the gate its head is parked at, if any.
+#[derive(Debug, Default)]
+struct Queue {
+    flits: VecDeque<Entry>,
+    parked: Option<Park>,
+}
+
+/// A head that failed egress `out`'s credit or lane gate while `out` was
+/// at generation `gen` (see the module docs for the park/wake rule).
+#[derive(Debug, Clone, Copy)]
+struct Park {
+    out: usize,
+    gen: u64,
+}
+
 /// A fabric switch component.
 pub struct FabricSwitch {
     cfg: SwitchConfig,
     ports: Vec<LinkPort>,
     peer_to_port: HashMap<ComponentId, usize>,
     /// Routing table (public so topology builders can pre-install routes).
+    /// Once traffic flows, edit it only through the route messages or
+    /// [`FabricSwitch::remove_route`], which wake parked heads.
     pub routing: RoutingTable,
     /// Ingress queues, `queues[input][key]`: one key per input under
     /// FIFO, the output under VOQ, the ingress lane under Wormhole (ports
     /// without VC flow control keep a single lane-0 queue).
-    queues: Vec<Vec<VecDeque<Entry>>>,
+    queues: Vec<Vec<Queue>>,
     /// Flits queued per input (the sum of its row): a sweep passes over
     /// an idle input without scanning its queues.
     backlog: Vec<usize>,
+    /// Per-egress generation, moved by every event that can loosen the
+    /// egress's credit or lane gate.
+    gens: Vec<u64>,
+    /// Per input, the time before which none of its heads can move: each
+    /// is parked at a current generation behind side-effect-free gates or
+    /// is not ready until then. A sweep before that time passes over the
+    /// input, noting only the Kick its earliest head needs. `ZERO` when
+    /// awake; `MAX` when only a wake can move it.
+    idle_until: Vec<SimTime>,
+    /// Per egress, a bitset of the inputs with a head parked on it (one
+    /// row of `ports.len().div_ceil(64)` words each), woken when the
+    /// egress's generation moves.
+    waiters: Vec<u64>,
     /// Per-egress-port VC credit ledgers (only on links configured via
     /// [`FabricSwitch::set_vc_link`]).
     vc_links: Vec<Option<VcLink>>,
@@ -258,6 +309,9 @@ impl FabricSwitch {
             routing: RoutingTable::new(crate::routing::DomainId(0)),
             queues: Vec::new(),
             backlog: Vec::new(),
+            gens: Vec::new(),
+            idle_until: Vec::new(),
+            waiters: Vec::new(),
             vc_links: Vec::new(),
             worms: Worms::default(),
             rr_input: 0,
@@ -293,11 +347,15 @@ impl FabricSwitch {
         self.backlog.push(0);
         for row in &mut self.queues {
             if row.len() < keys {
-                row.resize_with(keys, VecDeque::new);
+                row.resize_with(keys, Queue::default);
             }
         }
         self.ramp.push(None);
         self.vc_links.push(None);
+        self.gens.push(0);
+        self.idle_until.push(SimTime::ZERO);
+        self.waiters = vec![0; self.ports.len() * self.ports.len().div_ceil(64)];
+        self.wake_all();
         idx
     }
 
@@ -316,9 +374,10 @@ impl FabricSwitch {
             let lanes = usize::from(cfg.vcs.max(2));
             let row = &mut self.queues[port];
             if row.len() < lanes {
-                row.resize_with(lanes, VecDeque::new);
+                row.resize_with(lanes, Queue::default);
             }
         }
+        self.wake_all();
     }
 
     /// The VC credit ledger of an egress port, if configured.
@@ -352,7 +411,53 @@ impl FabricSwitch {
     pub fn reclaim_flows(&mut self, node: NodeId) -> usize {
         let before = self.flows.len();
         self.flows.retain(|f, _| f.src != node && f.dst != node);
+        self.wake_all();
         before - self.flows.len()
+    }
+
+    /// Withdraws every PBR route toward `dst` mid-run (what
+    /// [`RemovePbrRoute`] does); returns whether one existed. Builders may
+    /// edit [`FabricSwitch::routing`] directly before traffic flows, but a
+    /// mid-run edit must come through here so that heads parked on an
+    /// egress resolve theirs again.
+    pub fn remove_route(&mut self, dst: NodeId) -> bool {
+        let removed = self.routing.remove_pbr(dst);
+        self.rerouted();
+        removed
+    }
+
+    /// After a route edit: re-resolves the worms' escape eligibility and
+    /// wakes every parked head.
+    fn rerouted(&mut self) {
+        let routing = &self.routing;
+        self.worms
+            .reroute(|d| routing.route(d).and_then(|c| c.first().copied()));
+        self.wake_all();
+    }
+
+    /// Moves `out`'s generation: heads parked on it run its gates again,
+    /// and the inputs they wait in wake.
+    fn wake(&mut self, out: usize) {
+        self.gens[out] += 1;
+        let words = self.ports.len().div_ceil(64);
+        let row = &mut self.waiters[out * words..(out + 1) * words];
+        for (w, bits) in row.iter_mut().enumerate() {
+            let mut b = std::mem::take(bits);
+            while b != 0 {
+                self.idle_until[w * 64 + b.trailing_zeros() as usize] = SimTime::ZERO;
+                b &= b - 1;
+            }
+        }
+    }
+
+    /// Moves every egress generation (route, rate, scheduler, window and
+    /// port changes).
+    fn wake_all(&mut self) {
+        for g in &mut self.gens {
+            *g += 1;
+        }
+        self.idle_until.fill(SimTime::ZERO);
+        self.waiters.fill(0);
     }
 
     /// Detaches `port` at quiescence: verifies no flit is queued at or
@@ -371,7 +476,7 @@ impl FabricSwitch {
                 (inbound > 0).then(|| format!("port {port}: {inbound} flit(s) queued"))
             }
             QueueDiscipline::Voq => {
-                let outbound: usize = self.queues.iter().map(|row| row[port].len()).sum();
+                let outbound: usize = self.queues.iter().map(|row| row[port].flits.len()).sum();
                 (inbound + outbound > 0).then(|| {
                     format!("port {port}: {inbound} flit(s) from it, {outbound} toward it")
                 })
@@ -383,7 +488,7 @@ impl FabricSwitch {
         if let Some(busy) = busy {
             return Err(busy);
         }
-        let toward = self.worms.toward(port).count();
+        let toward = self.worms.toward(port);
         if toward > 0 {
             return Err(format!(
                 "port {port}: {toward} worm(s) in transit toward it"
@@ -410,6 +515,7 @@ impl FabricSwitch {
             state.release_input(port);
         }
         self.peer_to_port.remove(&peer);
+        self.wake_all();
         Ok(peer)
     }
 
@@ -418,8 +524,10 @@ impl FabricSwitch {
         &self.ports[idx]
     }
 
-    /// Mutable access to a port (fault injection).
+    /// Mutable access to a port (fault injection). Wakes every parked
+    /// head: the caller may loosen any gate.
     pub fn port_mut(&mut self, idx: usize) -> &mut LinkPort {
+        self.wake_all();
         &mut self.ports[idx]
     }
 
@@ -435,6 +543,7 @@ impl FabricSwitch {
     /// send [`InstallScheduler`] instead.
     pub fn install_scheduler(&mut self, sched: FabricScheduler) {
         self.sched = Some(sched);
+        self.wake_all();
     }
 
     /// The installed tenant scheduler, if any.
@@ -542,12 +651,12 @@ impl FabricSwitch {
         }
         candidates.iter().copied().min_by_key(|&p| {
             let queued: usize = match self.cfg.queueing {
-                QueueDiscipline::Voq => self.queues.iter().map(|row| row[p].len()).sum(),
+                QueueDiscipline::Voq => self.queues.iter().map(|row| row[p].flits.len()).sum(),
                 QueueDiscipline::Fifo | QueueDiscipline::Wormhole => 0,
             };
             // Under wormhole queueing the committed load on an egress is
             // the undelivered remainder of every worm routed toward it.
-            let committed: u64 = self.worms.toward(p).sum();
+            let committed = self.worms.committed(p);
             let pending = self.ports[p].pending_len();
             let backlog = self.ports[p].wire_free_at().saturating_sub(now);
             (queued + committed as usize + pending, backlog, p)
@@ -592,35 +701,38 @@ impl FabricSwitch {
         let ready_at = ctx.now() + self.cfg.fwd_latency;
         // Output resolution is deferred to dispatch for adaptive routing,
         // but unroutable flits are dropped immediately.
-        if self.routing.route(dst).is_none() {
+        let Some(primary) = self.routing.route(dst).map(|c| c.first().copied()) else {
             self.drop_unroutable(ctx, in_port, class, in_vc);
             return;
-        }
+        };
         let key = match self.cfg.queueing {
             QueueDiscipline::Fifo => Some(0),
             // route() was checked above, but a racing route removal
             // would leave no candidate: drop rather than panic.
             QueueDiscipline::Voq => self.pick_output(dst, ctx.now()),
             QueueDiscipline::Wormhole => {
-                // A worm's body flits must follow the head's egress; route
-                // only at the header.
-                let out = self
-                    .worms
-                    .follow(&payload)
-                    .or_else(|| self.pick_output(dst, ctx.now()));
-                out.map(|out| {
-                    let mode = self.ports[in_port].phys.flit_mode;
-                    self.worms.admit(&payload, out, mode);
-                    let lanes = self.queues[in_port].len();
-                    usize::from(in_vc.unwrap_or(0)).min(lanes.saturating_sub(1))
-                })
+                // A worm's body flits follow the head's egress; a header
+                // (or an orphan data slot) is routed and opens a worm.
+                let routed = self.worms.joins(&payload)
+                    || self.pick_output(dst, ctx.now()).is_some_and(|out| {
+                        let mode = self.ports[in_port].phys.flit_mode;
+                        let escape_ok = primary == Some(out);
+                        if let Some(old) = self.worms.admit(&payload, dst, out, escape_ok, mode) {
+                            // A header replaced a worm: flits parked on the
+                            // old one's egress now follow the new one.
+                            self.wake(old);
+                        }
+                        true
+                    });
+                let lanes = self.queues[in_port].len();
+                routed.then(|| usize::from(in_vc.unwrap_or(0)).min(lanes.saturating_sub(1)))
             }
         };
         let Some(key) = key else {
             self.drop_unroutable(ctx, in_port, class, in_vc);
             return;
         };
-        self.queues[in_port][key].push_back(Entry {
+        self.queues[in_port][key].flits.push_back(Entry {
             payload,
             class,
             ready_at,
@@ -629,6 +741,7 @@ impl FabricSwitch {
             in_vc,
         });
         self.backlog[in_port] += 1;
+        self.idle_until[in_port] = SimTime::ZERO;
         self.arm_tick(ctx);
         self.arm_sched_tick(ctx);
         self.request_kick(ctx, ready_at);
@@ -781,8 +894,8 @@ impl FabricSwitch {
 
     /// Attempts to dispatch one flit from input `i`; returns whether one
     /// moved. Scans the input's keyed queues (see the module docs for the
-    /// key scheme and the gate order) and sends the first head that
-    /// clears every gate.
+    /// key scheme, the gate order and the park/wake rule) and sends the
+    /// first head that clears every gate.
     fn try_dispatch_input(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -794,38 +907,63 @@ impl FabricSwitch {
         if self.backlog[i] == 0 {
             return false;
         }
+        let until = self.idle_until[i];
+        if now < until {
+            if until < SimTime::MAX {
+                self.note_kick(next_kick, until);
+            }
+            return false;
+        }
         let keys = self.queues[i].len();
         let first = match self.cfg.queueing {
             QueueDiscipline::Voq => i,
             QueueDiscipline::Fifo | QueueDiscipline::Wormhole => 0,
         };
+        // Whether a parked head's gates in front of the park are free of
+        // side effects: no deferral to count, no token bucket to refill,
+        // no retry to note.
+        let quiet = self.sched.is_none() && !matches!(self.cfg.allocation, AllocPolicy::Arbitrated);
+        // Ready heads that end the scan not parked (quietly) at a current
+        // generation, and the earliest time a head not yet ready will be.
+        let mut restless = 0usize;
+        let mut wake_at = SimTime::MAX;
         for k in 0..keys {
             // `(first + k) % keys` without a division: sweeps probe every
             // input many times per event, so each probe must stay cheap.
             let key = first + k;
             let key = if key < keys { key } else { key - keys };
-            let Some(head) = self.queues[i][key].front() else {
+            let q = &self.queues[i][key];
+            let Some(head) = q.flits.front() else {
                 continue;
             };
             let (ready_at, flow, class) = (head.ready_at, head.flow, head.class);
             let (id, dst) = (head.payload.trace_id(), Self::dst_of(&head.payload));
+            // A head parked at a generation that has not moved would fail
+            // its credit or lane gate again: only the gates in front run.
+            let parked = q.parked.filter(|p| self.gens[p.out] == p.gen);
             if ready_at > now {
                 self.note_kick(next_kick, ready_at);
+                wake_at = wake_at.min(ready_at);
                 continue;
             }
-            let Some(out) = self.head_egress(key, id, dst, now) else {
-                if self.cfg.queueing == QueueDiscipline::Wormhole {
-                    // Every wormhole-admitted flit has a worm (created at
-                    // admit); a missing one means its transfer raced a
-                    // teardown — drop.
-                    if let Some(entry) = self.pop_head(i, key) {
-                        self.drop_unroutable(ctx, i, entry.class, entry.in_vc);
+            restless += usize::from(parked.is_none() || !quiet);
+            let (out, worm) = match parked {
+                Some(p) => (p.out, None),
+                None => match self.head_egress(key, id, dst, now) {
+                    Some(egress) => egress,
+                    None if self.cfg.queueing == QueueDiscipline::Wormhole => {
+                        // Every wormhole-admitted flit has a worm (created
+                        // at admit); a missing one means its transfer raced
+                        // a teardown — drop.
+                        if let Some(entry) = self.pop_head(i, key) {
+                            self.drop_unroutable(ctx, i, entry.class, entry.in_vc);
+                        }
+                        return true;
                     }
-                    return true;
-                }
-                // FIFO: the head's destination lost its routes; the
-                // queue waits behind it.
-                continue;
+                    // FIFO: the head's destination lost its routes; the
+                    // queue waits behind it.
+                    None => continue,
+                },
             };
             match self.policy_gate(i, out, flow, now, reserved_phase) {
                 Ok(()) => {}
@@ -841,52 +979,87 @@ impl FabricSwitch {
             if !self.sched_admits(flow) {
                 continue;
             }
-            if !self.ports[out].link.can_send(class) {
+            // Parked at a current generation: the gates behind would fail.
+            if parked.is_some() {
                 continue;
             }
-            let Some(out_vc) = self.egress_lane(id, dst, out) else {
+            let out_vc = if self.ports[out].link.can_send(class) {
+                self.egress_lane(id, worm)
+            } else {
+                None
+            };
+            let Some(out_vc) = out_vc else {
+                restless -= usize::from(self.park(i, key, out) && quiet);
                 continue;
             };
             let Some(entry) = self.pop_head(i, key) else {
                 continue;
             };
-            self.worms.advance(id, self.vc_links[out].as_mut(), out_vc);
+            if self.worms.advance(id, self.vc_links[out].as_mut(), out_vc) {
+                // The tail freed its lane and retired its worm.
+                self.wake(out);
+            }
             self.finish_dispatch(ctx, i, out, entry, now, out_vc);
             return true;
+        }
+        if restless == 0 {
+            self.idle_until[i] = wake_at;
         }
         false
     }
 
+    /// Parks the head of input `i`'s queue `key` at egress `out`'s current
+    /// generation; returns whether it parked. Adaptive FIFO heads never
+    /// park: their egress is re-picked against the wire backlog at `now`.
+    fn park(&mut self, i: usize, key: usize, out: usize) -> bool {
+        if self.cfg.queueing == QueueDiscipline::Fifo && self.cfg.adaptive {
+            return false;
+        }
+        self.queues[i][key].parked = Some(Park {
+            out,
+            gen: self.gens[out],
+        });
+        let words = self.ports.len().div_ceil(64);
+        self.waiters[out * words + i / 64] |= 1 << (i % 64);
+        true
+    }
+
     /// Pops the head of input `i`'s queue `key`, keeping `backlog` in step.
     fn pop_head(&mut self, i: usize, key: usize) -> Option<Entry> {
-        let entry = self.queues[i][key].pop_front()?;
+        let q = &mut self.queues[i][key];
+        let entry = q.flits.pop_front()?;
+        q.parked = None;
         self.backlog[i] -= 1;
         Some(entry)
     }
 
     /// The egress of the head of queue `key` (transaction `id`, bound for
     /// `dst`): routed now under FIFO, the key under VOQ, the worm's under
-    /// Wormhole.
-    fn head_egress(&self, key: usize, id: u64, dst: Option<NodeId>, now: SimTime) -> Option<usize> {
+    /// Wormhole — with the worm's lane state.
+    fn head_egress(
+        &self,
+        key: usize,
+        id: u64,
+        dst: Option<NodeId>,
+        now: SimTime,
+    ) -> Option<(usize, Option<WormLane>)> {
         match self.cfg.queueing {
-            QueueDiscipline::Fifo => dst.and_then(|d| self.pick_output(d, now)),
-            QueueDiscipline::Voq => Some(key),
-            QueueDiscipline::Wormhole => self.worms.egress(id),
+            QueueDiscipline::Fifo => dst
+                .and_then(|d| self.pick_output(d, now))
+                .map(|o| (o, None)),
+            QueueDiscipline::Voq => Some((key, None)),
+            QueueDiscipline::Wormhole => self.worms.get(id).map(|w| (w.out, Some(w))),
         }
     }
 
-    /// The egress lane gate: `Some(lane)` when the head may go (`Some(None)`
+    /// The egress lane gate for the head of worm `id` (`worm` is `None`
+    /// outside Wormhole): `Some(lane)` when it may go (`Some(None)`
     /// outside VC flow control), `None` when it must wait for a lane.
-    fn egress_lane(&self, id: u64, dst: Option<NodeId>, out: usize) -> Option<Option<u8>> {
-        if self.cfg.queueing != QueueDiscipline::Wormhole {
-            return Some(None);
+    fn egress_lane(&self, id: u64, worm: Option<WormLane>) -> Option<Option<u8>> {
+        match worm {
+            Some(w) => w.gate(id, self.vc_links[w.out].as_ref()),
+            None => Some(None),
         }
-        // Escape lane 0 is eligible only when the egress is the
-        // destination's primary (deterministic) route.
-        let escape_ok = dst
-            .and_then(|d| self.routing.route(d))
-            .is_some_and(|c| c.first() == Some(&out));
-        self.worms.lane(id, self.vc_links[out].as_ref(), escape_ok)
     }
 
     fn finish_dispatch(
@@ -944,11 +1117,15 @@ impl FabricSwitch {
     fn on_flit(&mut self, ctx: &mut Ctx<'_>, in_port: usize, fm: FlitMsg) {
         match self.ports[in_port].receive(ctx, fm) {
             PortEvent::Delivered(payload, in_vc) => self.admit(ctx, in_port, payload, in_vc),
-            PortEvent::CreditFreed => self.schedule(ctx),
+            PortEvent::CreditFreed => {
+                self.wake(in_port);
+                self.schedule(ctx);
+            }
             PortEvent::VcCreditReturned { vc, credits } => {
                 if let Some(vl) = self.vc_links[in_port].as_mut() {
                     vl.refund(vc, credits);
                 }
+                self.wake(in_port);
                 self.schedule(ctx);
             }
             PortEvent::Quiet => {}
@@ -994,6 +1171,7 @@ impl Component for FabricSwitch {
                     debug_assert!(state.audit().is_ok(), "{:?}", state.audit());
                 }
                 self.tick_armed = false;
+                self.wake_all();
                 if self.queued() > 0 {
                     self.arm_tick(ctx);
                     self.schedule(ctx);
@@ -1010,6 +1188,7 @@ impl Component for FabricSwitch {
                     debug_assert!(sched.audit().is_ok(), "{:?}", sched.audit());
                 }
                 self.sched_tick_armed = false;
+                self.wake_all();
                 if self.queued() > 0 {
                     self.arm_sched_tick(ctx);
                     self.schedule(ctx);
@@ -1032,13 +1211,14 @@ impl Component for FabricSwitch {
         let msg = match msg.downcast::<InstallPbrRoute>() {
             Ok(r) => {
                 self.routing.add_pbr(r.dst, r.port);
+                self.rerouted();
                 return;
             }
             Err(m) => m,
         };
         let msg = match msg.downcast::<RemovePbrRoute>() {
             Ok(r) => {
-                self.routing.remove_pbr(r.dst);
+                self.remove_route(r.dst);
                 return;
             }
             Err(m) => m,
@@ -1046,6 +1226,7 @@ impl Component for FabricSwitch {
         let msg = match msg.downcast::<InstallHbrRoute>() {
             Ok(r) => {
                 self.routing.add_hbr(r.domain, r.port);
+                self.rerouted();
                 return;
             }
             Err(m) => m,
@@ -1053,6 +1234,7 @@ impl Component for FabricSwitch {
         let msg = match msg.downcast::<SetNodeDomain>() {
             Ok(r) => {
                 self.routing.set_domain(r.node, r.domain);
+                self.rerouted();
                 return;
             }
             Err(m) => m,
@@ -1061,6 +1243,7 @@ impl Component for FabricSwitch {
             Ok(r) => {
                 self.flows
                     .insert(r.flow, TokenBucket::new(r.gbps, r.burst_bytes.max(1)));
+                self.wake_all();
                 self.schedule(ctx);
                 return;
             }
@@ -1069,6 +1252,7 @@ impl Component for FabricSwitch {
         let msg = match msg.downcast::<RemoveRate>() {
             Ok(r) => {
                 self.flows.remove(&r.flow);
+                self.wake_all();
                 self.schedule(ctx);
                 return;
             }
@@ -1092,10 +1276,10 @@ impl Component for FabricSwitch {
     fn outstanding(&self, out: &mut Vec<PendingWork>) {
         for (i, row) in self.queues.iter().enumerate() {
             for (key, q) in row.iter().enumerate() {
-                let Some(head) = q.front() else {
+                let Some(head) = q.flits.front() else {
                     continue;
                 };
-                let n = q.len();
+                let n = q.flits.len();
                 let what = match self.cfg.queueing {
                     QueueDiscipline::Fifo => format!("{n} flit(s) queued at input {i}"),
                     QueueDiscipline::Voq => format!("{n} flit(s) queued input {i} -> output {key}"),
@@ -1105,7 +1289,7 @@ impl Component for FabricSwitch {
                 let (id, dst) = (head.payload.trace_id(), Self::dst_of(&head.payload));
                 let waiting_on = self
                     .head_egress(key, id, dst, SimTime::ZERO)
-                    .and_then(|o| self.ports[o].peer_opt());
+                    .and_then(|(o, _)| self.ports[o].peer_opt());
                 out.push(PendingWork { what, waiting_on });
             }
         }
@@ -1268,6 +1452,324 @@ mod tests {
             assert!(work.is_empty(), "{q:?}");
             assert!(sw.audit().is_clean(), "{q:?}: {:?}", sw.audit());
         }
+    }
+
+    /// A link endpoint the wake-up tests drive: sends the payloads it is
+    /// handed, records what arrives, and — while `hold` — keeps every
+    /// arrival in its receive buffer, so the switch's egress toward it
+    /// runs out of credit.
+    struct Peer {
+        port: LinkPort,
+        hold: bool,
+        held: Vec<(MsgClass, Option<u8>)>,
+        got: Vec<(SimTime, FlitPayload)>,
+    }
+
+    /// What a test tells a [`Peer`] to do.
+    enum Do {
+        Send(Vec<FlitPayload>),
+        Release,
+    }
+
+    impl Peer {
+        fn release(&mut self, ctx: &mut Ctx<'_>) {
+            for (class, vc) in self.held.drain(..) {
+                self.port.release(ctx, class);
+                if let Some(v) = vc {
+                    self.port.return_vc_credit(ctx, v, 1);
+                }
+            }
+        }
+    }
+
+    impl Component for Peer {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            let msg = match msg.downcast::<FlitMsg>() {
+                Ok(fm) => {
+                    if let PortEvent::Delivered(payload, vc) = self.port.receive(ctx, fm) {
+                        self.held.push((payload.msg_class(), vc));
+                        self.got.push((ctx.now(), payload));
+                        if !self.hold {
+                            self.release(ctx);
+                        }
+                    }
+                    return;
+                }
+                Err(m) => m,
+            };
+            match msg.downcast::<Do>() {
+                Ok(Do::Send(payloads)) => {
+                    for p in payloads {
+                        assert!(self.port.enqueue(ctx, p));
+                    }
+                }
+                Ok(Do::Release) => {
+                    self.hold = false;
+                    self.release(ctx);
+                }
+                Err(m) => panic!("peer: unexpected message {}", m.type_name()),
+            }
+        }
+    }
+
+    /// A switch under `q` whose port `p` faces a [`Peer`] built from
+    /// `peers[p]`: (holds its receive buffer, has two credits per class).
+    fn rig(
+        q: QueueDiscipline,
+        peers: &[(bool, bool)],
+    ) -> (fcc_sim::Engine, ComponentId, Vec<ComponentId>) {
+        let cfg = SwitchConfig {
+            queueing: q,
+            ..SwitchConfig::fabrex_like()
+        };
+        let mut engine = fcc_sim::Engine::new(0x5B);
+        let sw = engine.add_component("sw", FabricSwitch::new(cfg));
+        let mut ids = Vec::new();
+        for (p, &(hold, tight)) in peers.iter().enumerate() {
+            let credit = if tight {
+                CreditConfig {
+                    buffer_flits: 8,
+                    return_threshold: 1,
+                    ..CreditConfig::default()
+                }
+            } else {
+                CreditConfig::default()
+            };
+            let mut port = LinkPort::new(cfg.phys, credit);
+            port.connect(sw);
+            let peer = Peer {
+                port,
+                hold,
+                held: Vec::new(),
+                got: Vec::new(),
+            };
+            let id = engine.add_component(format!("peer{p}"), peer);
+            let s = engine.component_mut::<FabricSwitch>(sw);
+            assert_eq!(s.add_port_with(cfg.phys, credit), p);
+            s.connect(p, id);
+            ids.push(id);
+        }
+        (engine, sw, ids)
+    }
+
+    fn txn(id: u64, op: fcc_proto::channel::MemOpcode, bytes: u32, dst: u16) -> FlitPayload {
+        FlitPayload::Transaction(fcc_proto::channel::Transaction {
+            id,
+            kind: fcc_proto::channel::TransactionKind::Mem(op),
+            addr: id * 64,
+            bytes,
+            src: NodeId(3),
+            dst: NodeId(dst),
+        })
+    }
+
+    fn read(id: u64, dst: u16) -> FlitPayload {
+        txn(id, fcc_proto::channel::MemOpcode::MemRd, 0, dst)
+    }
+
+    #[test]
+    fn a_head_parked_on_a_starved_egress_moves_on_the_credit_that_refills_it() {
+        let hop = {
+            let phys = SwitchConfig::fabrex_like().phys;
+            phys.flit_serialization() + phys.propagation
+        };
+        for q in [
+            QueueDiscipline::Fifo,
+            QueueDiscipline::Voq,
+            QueueDiscipline::Wormhole,
+        ] {
+            // Port 0 sends three reads toward port 1, whose peer holds
+            // them: two credits, so the third head waits at the switch.
+            let (mut engine, sw, peers) = rig(q, &[(false, false), (true, true)]);
+            engine
+                .component_mut::<FabricSwitch>(sw)
+                .routing
+                .add_pbr(NodeId(9), 1);
+            let reads = (1..=3).map(|id| read(id, 9)).collect();
+            engine.post(peers[0], SimTime::ZERO, Do::Send(reads));
+            let release_at = SimTime::from_ns(5000.0);
+            engine.run_until(release_at);
+            assert_eq!(engine.component::<FabricSwitch>(sw).queued(), 1, "{q:?}");
+            assert_eq!(engine.component::<Peer>(peers[1]).got.len(), 2, "{q:?}");
+            // The first credit the release returns reaches the switch one
+            // hop later; the parked head leaves in that event.
+            engine.post(peers[1], release_at, Do::Release);
+            engine.run_until_idle();
+            let got = &engine.component::<Peer>(peers[1]).got;
+            assert_eq!(got.len(), 3, "{q:?}");
+            assert_eq!(got[2].0, release_at + hop + hop, "{q:?}");
+            assert_eq!(engine.component::<FabricSwitch>(sw).queued(), 0, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn a_header_waiting_for_a_lane_moves_in_the_sweep_its_holder_tail_leaves() {
+        use fcc_proto::channel::MemOpcode;
+        use fcc_proto::flit::flits_for_transfer;
+
+        // Ports 0 and 2 each open a two-lane-holding write worm toward
+        // port 1; port 3's read header then finds both lanes held.
+        let (mut engine, sw, peers) = rig(
+            QueueDiscipline::Wormhole,
+            &[
+                (false, false),
+                (false, false),
+                (false, false),
+                (false, false),
+            ],
+        );
+        let bytes = 2 * SwitchConfig::fabrex_like().phys.flit_mode.payload_bytes() as u32;
+        let slots = flits_for_transfer(SwitchConfig::fabrex_like().phys.flit_mode, bytes.into());
+        {
+            let s = engine.component_mut::<FabricSwitch>(sw);
+            s.routing.add_pbr(NodeId(9), 1);
+            s.set_vc_link(
+                1,
+                VcConfig {
+                    vcs: 2,
+                    buf_flits: 8,
+                },
+            );
+        }
+        let data = |id: u64| -> Vec<FlitPayload> {
+            (0..slots as u32)
+                .map(|slot| FlitPayload::Data {
+                    txn_id: id,
+                    slot,
+                    src: NodeId(3),
+                    dst: NodeId(9),
+                })
+                .collect()
+        };
+        engine.post(
+            peers[0],
+            SimTime::ZERO,
+            Do::Send(vec![txn(1, MemOpcode::MemWr, bytes, 9)]),
+        );
+        engine.post(
+            peers[2],
+            SimTime::ZERO,
+            Do::Send(vec![txn(2, MemOpcode::MemWr, bytes, 9)]),
+        );
+        engine.post(
+            peers[3],
+            SimTime::from_ns(1000.0),
+            Do::Send(vec![read(3, 9)]),
+        );
+        engine.post(peers[0], SimTime::from_ns(3000.0), Do::Send(data(1)));
+        engine.post(peers[2], SimTime::from_ns(6000.0), Do::Send(data(2)));
+        engine.run_until(SimTime::from_ns(3000.0));
+        let sw_ref = engine.component::<FabricSwitch>(sw);
+        assert_eq!(sw_ref.forwarded.get(), 2, "both write headers hold a lane");
+        assert_eq!(sw_ref.queued(), 1, "the read header waits for a lane");
+        // Worm 1's body drains; the event that moves its tail frees the
+        // lane and, in the same sweep, moves the waiting read header.
+        let mut last_step = 0;
+        while engine.component::<FabricSwitch>(sw).queued() > 0 {
+            let before = engine.component::<FabricSwitch>(sw).forwarded.get();
+            assert!(engine.step());
+            assert!(engine.now() < SimTime::from_ns(6000.0));
+            last_step = engine.component::<FabricSwitch>(sw).forwarded.get() - before;
+        }
+        assert_eq!(last_step, 2, "tail and waiting header leave in one sweep");
+        engine.run_until_idle();
+        let sw_ref = engine.component::<FabricSwitch>(sw);
+        assert_eq!(sw_ref.forwarded.get(), 3 + 2 * slots);
+        assert!(sw_ref.audit().is_clean(), "{:?}", sw_ref.audit());
+    }
+
+    #[test]
+    fn a_parked_head_still_counts_a_deferral_when_its_tenant_runs_dry() {
+        use fcc_sched::{CreditPartition, TenantShare};
+
+        // Port 0 sends three reads toward starved port 1; port 2 sends one
+        // toward port 3. All four come from tenant 7, which may send three
+        // flits per (long) window.
+        let (mut engine, sw, peers) = rig(
+            QueueDiscipline::Fifo,
+            &[(false, false), (true, true), (false, false), (false, false)],
+        );
+        {
+            let s = engine.component_mut::<FabricSwitch>(sw);
+            s.routing.add_pbr(NodeId(9), 1);
+            s.routing.add_pbr(NodeId(10), 3);
+            let mut part = CreditPartition::new(3);
+            part.add_tenant(
+                7,
+                TenantShare {
+                    group: 0,
+                    weight: 1,
+                    floor: 1,
+                },
+            );
+            let mut sched = FabricScheduler::new(part, SimTime::from_ns(1_000_000.0));
+            sched.map_node(NodeId(3), 7);
+            s.install_scheduler(sched);
+        }
+        let reads = (1..=3).map(|id| read(id, 9)).collect();
+        engine.post(peers[0], SimTime::ZERO, Do::Send(reads));
+        engine.run_until(SimTime::from_ns(2000.0));
+        let sched = engine.component::<FabricSwitch>(sw).scheduler().unwrap();
+        assert_eq!((sched.admitted, sched.deferred), (2, 0));
+        // The third read is parked at port 1's credit gate. Port 2's read
+        // spends the tenant's last credit; the parked head still reaches
+        // the tenant gate in front of its park and is deferred there.
+        engine.post(
+            peers[2],
+            SimTime::from_ns(2000.0),
+            Do::Send(vec![read(4, 10)]),
+        );
+        engine.run_until(SimTime::from_ns(4000.0));
+        let s = engine.component::<FabricSwitch>(sw);
+        assert_eq!(engine.component::<Peer>(peers[3]).got.len(), 1);
+        assert_eq!(s.queued(), 1);
+        let sched = s.scheduler().unwrap();
+        assert_eq!(sched.admitted, 3);
+        assert!(sched.deferred >= 1, "deferred {}", sched.deferred);
+    }
+
+    #[test]
+    fn a_fifo_head_behind_a_removed_route_resolves_its_egress_again() {
+        // Port 0's third read toward node 9 waits at starved port 1. The
+        // route to node 9 then moves to port 3; the next sweep (port 2's
+        // read arriving) must send the waiting head there.
+        let (mut engine, sw, peers) = rig(
+            QueueDiscipline::Fifo,
+            &[(false, false), (true, true), (false, false), (false, false)],
+        );
+        {
+            let s = engine.component_mut::<FabricSwitch>(sw);
+            s.routing.add_pbr(NodeId(9), 1);
+            s.routing.add_pbr(NodeId(10), 3);
+        }
+        let reads = (1..=3).map(|id| read(id, 9)).collect();
+        engine.post(peers[0], SimTime::ZERO, Do::Send(reads));
+        engine.run_until(SimTime::from_ns(2000.0));
+        assert_eq!(engine.component::<FabricSwitch>(sw).queued(), 1);
+        let at = SimTime::from_ns(2000.0);
+        engine.post(sw, at, RemovePbrRoute { dst: NodeId(9) });
+        engine.post(
+            sw,
+            at,
+            InstallPbrRoute {
+                dst: NodeId(9),
+                port: 3,
+            },
+        );
+        engine.post(
+            peers[2],
+            SimTime::from_ns(3000.0),
+            Do::Send(vec![read(4, 10)]),
+        );
+        engine.run_until(SimTime::from_ns(6000.0));
+        assert_eq!(engine.component::<FabricSwitch>(sw).queued(), 0);
+        let ids: Vec<u64> = engine
+            .component::<Peer>(peers[3])
+            .got
+            .iter()
+            .map(|(_, p)| p.trace_id())
+            .collect();
+        assert_eq!(ids, [3, 4]);
     }
 
     #[test]

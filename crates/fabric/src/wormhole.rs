@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use fcc_proto::addr::NodeId;
 use fcc_proto::flit::{flits_for_transfer, FlitMode, FlitPayload};
 
 /// Per-link virtual-channel configuration. Both ends of a link must use
@@ -216,103 +217,161 @@ impl VcLink {
 struct Worm {
     /// Egress port fixed at head admission; body flits follow the head.
     out: usize,
+    /// Destination of the transfer (re-resolves `escape_ok` on a route
+    /// edit).
+    dst: NodeId,
+    /// Whether escape lane 0 may carry the worm: its egress is the
+    /// destination's primary (deterministic) route. Resolved at
+    /// admission and again on every route edit.
+    escape_ok: bool,
     /// Lane allocated at head dispatch (`None` until the head moves).
     lane: Option<u8>,
     /// Flits of this transfer not yet dispatched (including the header).
     remaining: u64,
 }
 
-/// The worms in transit through one switch, keyed by transaction id.
+/// The lane state of a worm's next flit, as the lane gate needs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WormLane {
+    /// Egress port of the worm.
+    pub(crate) out: usize,
+    lane: Option<u8>,
+    escape_ok: bool,
+}
+
+impl WormLane {
+    /// The lane gate for the next flit of worm `id` on an egress with
+    /// ledger `link`: `Some(lane)` when it may go (`Some(None)` on a link
+    /// without VC flow control), `None` when it must wait. A worm keeps
+    /// the lane its head took; a head takes the lowest free lane, lane 0
+    /// only when its egress is the destination's primary route.
+    pub(crate) fn gate(self, id: u64, link: Option<&VcLink>) -> Option<Option<u8>> {
+        let Some(link) = link else {
+            return Some(None);
+        };
+        match self.lane {
+            Some(v) => link.can_send(v).then_some(Some(v)),
+            None => link.allocate(id, self.escape_ok).map(Some),
+        }
+    }
+}
+
+/// The worms in transit through one switch, keyed by transaction id, and
+/// the flits they have committed to each egress.
 #[derive(Debug, Default)]
-pub(crate) struct Worms(BTreeMap<u64, Worm>);
+pub(crate) struct Worms {
+    worms: BTreeMap<u64, Worm>,
+    /// Undelivered flits of every worm routed toward each egress port.
+    committed: Vec<u64>,
+}
 
 impl Worms {
-    /// The egress a body flit must follow: its worm's, fixed at the head.
-    /// `None` for a header (routed afresh) or an orphan data slot.
-    pub(crate) fn follow(&self, payload: &FlitPayload) -> Option<usize> {
+    /// Whether `payload` is a body flit of a worm in transit, which fixed
+    /// its egress at the head. `false` for a header (routed afresh) or an
+    /// orphan data slot.
+    pub(crate) fn joins(&self, payload: &FlitPayload) -> bool {
         match payload {
-            FlitPayload::Data { txn_id, .. } => self.egress(*txn_id),
-            _ => None,
+            FlitPayload::Data { txn_id, .. } => self.worms.contains_key(txn_id),
+            _ => false,
         }
     }
 
-    /// Records an admitted flit routed to `out`: a header opens its worm
-    /// sized to the whole transfer; a data slot joins its header's worm,
-    /// or — when the header raced a route change — becomes its own
-    /// single-flit worm.
-    pub(crate) fn admit(&mut self, payload: &FlitPayload, out: usize, mode: FlitMode) {
+    /// Records an admitted flit bound for `dst`, routed to `out`: a header
+    /// opens its worm sized to the whole transfer; a data slot joins its
+    /// header's worm, or — when the header raced a route change — becomes
+    /// its own single-flit worm. `escape_ok` says whether `out` is the
+    /// destination's primary route. Returns the egress of a worm the
+    /// header replaced, whose waiting flits now follow the new one.
+    pub(crate) fn admit(
+        &mut self,
+        payload: &FlitPayload,
+        dst: NodeId,
+        out: usize,
+        escape_ok: bool,
+        mode: FlitMode,
+    ) -> Option<usize> {
         let worm = |remaining| Worm {
             out,
+            dst,
+            escape_ok,
             lane: None,
             remaining,
         };
-        match payload {
+        let (flits, replaced) = match payload {
             FlitPayload::Transaction(t) => {
                 let flits = if t.kind.carries_data() && t.bytes > 0 {
                     1 + flits_for_transfer(mode, t.bytes as u64)
                 } else {
                     1
                 };
-                self.0.insert(t.id, worm(flits));
+                let old = self.worms.insert(t.id, worm(flits));
+                (flits, old)
             }
             FlitPayload::Data { txn_id, .. } => {
-                self.0.entry(*txn_id).or_insert(worm(1));
+                if self.worms.contains_key(txn_id) {
+                    return None;
+                }
+                self.worms.insert(*txn_id, worm(1));
+                (1, None)
             }
-            _ => {}
+            _ => return None,
+        };
+        if self.committed.len() <= out {
+            self.committed.resize(out + 1, 0);
         }
+        self.committed[out] += flits;
+        let old = replaced?;
+        self.committed[old.out] -= old.remaining;
+        Some(old.out)
     }
 
-    /// Egress port of worm `id`.
-    pub(crate) fn egress(&self, id: u64) -> Option<usize> {
-        self.0.get(&id).map(|w| w.out)
+    /// The egress and lane state of worm `id`.
+    pub(crate) fn get(&self, id: u64) -> Option<WormLane> {
+        self.worms.get(&id).map(|w| WormLane {
+            out: w.out,
+            lane: w.lane,
+            escape_ok: w.escape_ok,
+        })
     }
 
-    /// Undelivered flits of each worm routed toward `out`.
-    pub(crate) fn toward(&self, out: usize) -> impl Iterator<Item = u64> + '_ {
-        self.0
-            .values()
-            .filter(move |w| w.out == out)
-            .map(|w| w.remaining)
+    /// Undelivered flits of every worm routed toward `out`.
+    pub(crate) fn committed(&self, out: usize) -> u64 {
+        self.committed.get(out).copied().unwrap_or(0)
+    }
+
+    /// Worms routed toward `out`.
+    pub(crate) fn toward(&self, out: usize) -> usize {
+        self.worms.values().filter(|w| w.out == out).count()
     }
 
     /// Worms in transit.
     pub(crate) fn len(&self) -> usize {
-        self.0.len()
+        self.worms.len()
     }
 
-    /// The lane gate for the next flit of worm `id` on an egress with
-    /// ledger `link`: `Some(lane)` when it may go (`Some(None)` on a link
-    /// without VC flow control), `None` when it must wait. A worm keeps
-    /// the lane its head took; a head takes the lowest free lane, lane 0
-    /// only when `escape_ok`.
-    pub(crate) fn lane(
-        &self,
-        id: u64,
-        link: Option<&VcLink>,
-        escape_ok: bool,
-    ) -> Option<Option<u8>> {
-        let Some(link) = link else {
-            return Some(None);
-        };
-        match self.0.get(&id).and_then(|w| w.lane) {
-            Some(v) => link.can_send(v).then_some(Some(v)),
-            None => link.allocate(id, escape_ok).map(Some),
+    /// Re-resolves every worm's escape eligibility after a route edit;
+    /// `primary(dst)` is the destination's first route candidate.
+    pub(crate) fn reroute(&mut self, primary: impl Fn(NodeId) -> Option<usize>) {
+        for w in self.worms.values_mut() {
+            w.escape_ok = primary(w.dst) == Some(w.out);
         }
     }
 
     /// Books a dispatched flit of worm `id` on `lane` (as granted by
-    /// [`Worms::lane`]): consumes its lane credit and, behind the tail,
-    /// retires the worm and releases the lane. A flit with no worm (not
-    /// under wormhole queueing) books nothing.
-    pub(crate) fn advance(&mut self, id: u64, link: Option<&mut VcLink>, lane: Option<u8>) {
-        let Some(w) = self.0.get_mut(&id) else {
-            return;
+    /// [`WormLane::gate`]): consumes its lane credit and, behind the
+    /// tail, retires the worm and releases the lane. Returns whether the
+    /// flit was the tail. A flit with no worm (not under wormhole
+    /// queueing) books nothing.
+    pub(crate) fn advance(&mut self, id: u64, link: Option<&mut VcLink>, lane: Option<u8>) -> bool {
+        let Some(w) = self.worms.get_mut(&id) else {
+            return false;
         };
         w.lane = lane;
         w.remaining = w.remaining.saturating_sub(1);
+        self.committed[w.out] -= 1;
         let tail = w.remaining == 0;
         if tail {
-            self.0.remove(&id);
+            self.worms.remove(&id);
         }
         if let (Some(v), Some(link)) = (lane, link) {
             link.consume(v, id);
@@ -320,6 +379,7 @@ impl Worms {
                 link.release(v);
             }
         }
+        tail
     }
 }
 
@@ -373,6 +433,43 @@ mod tests {
         link.refund(0, 1);
         assert_eq!(link.violations, 1);
         assert!(link.audit().is_err());
+    }
+
+    #[test]
+    fn committed_flits_follow_admission_dispatch_and_replacement() {
+        use fcc_proto::channel::{MemOpcode, Transaction, TransactionKind};
+
+        let mode = FlitMode::Flit68;
+        let write = |id, bytes| {
+            FlitPayload::Transaction(Transaction {
+                id,
+                kind: TransactionKind::Mem(MemOpcode::MemWr),
+                addr: 0,
+                bytes,
+                src: NodeId(1),
+                dst: NodeId(2),
+            })
+        };
+        let bytes = 2 * mode.payload_bytes() as u32;
+        let mut worms = Worms::default();
+        assert_eq!(
+            worms.admit(&write(7, bytes), NodeId(2), 3, true, mode),
+            None
+        );
+        assert_eq!(worms.committed(3), 3, "header plus two data slots");
+        assert!(!worms.advance(7, None, None));
+        assert_eq!(worms.committed(3), 2);
+        // A header reusing id 7 replaces the worm and its commitment.
+        assert_eq!(
+            worms.admit(&write(7, 0), NodeId(2), 5, false, mode),
+            Some(3)
+        );
+        assert_eq!((worms.committed(3), worms.committed(5)), (0, 1));
+        assert!(
+            worms.advance(7, None, None),
+            "a lone header is its own tail"
+        );
+        assert_eq!((worms.len(), worms.committed(5)), (0, 0));
     }
 
     #[test]

@@ -49,6 +49,8 @@ pub struct FabricScheduler {
     /// Gate probes deferred for an exhausted tenant window. Counts
     /// retry attempts, not unique flits: a flit re-probed across
     /// scheduling sweeps accumulates.
+    /// A head parked at the switch's credit or lane gate still counts one
+    /// deferral for each sweep pass that reaches this gate.
     pub deferred: u64,
 }
 
